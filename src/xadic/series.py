@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -44,6 +46,19 @@ from .ff import FpElement, Prime
 #: Fallback absolute precision for operations whose exact result would be an
 #: infinite series (inverting a non-monomial exact series, negative powers).
 DEFAULT_PRECISION = 64
+
+#: A product takes the Kronecker path when both operands have at least this
+#: many terms ...
+_DENSE_TERMS = 32
+#: ... and each spans at most this many times its term count below the
+#: result precision; other products take the dict loop.
+_DENSE_SPREAD = 4
+
+#: array typecodes that read and write Kronecker slots of 1, 2, 4 or 8
+#: bytes in bulk; empty unless native byte order matches the little-endian
+#: ``int.to_bytes`` layout
+_NATIVE = ({array(code).itemsize: code for code in "BHIQ"}
+           if sys.byteorder == "little" else {})
 
 
 def _pmin(a: int | None, b: int | None) -> int | None:
@@ -57,6 +72,84 @@ def _pmin(a: int | None, b: int | None) -> int | None:
 
 def _padd(a: int | None, b: int) -> int | None:
     return None if a is None else a + b
+
+
+def _mul_sparse(a: dict[int, int], b: dict[int, int], prec: int | None,
+                p: int) -> dict[int, int]:
+    """Coefficients of the product below ``prec`` by the pairwise loop."""
+    d: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if prec is not None and e >= prec:
+                continue
+            d[e] = (d.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in d.items() if c}
+
+
+def _spans_dense(d: dict[int, int], v: int, n: int | None) -> bool:
+    """Whether the coefficient list of d from X^v below X^(v+n) (no cut
+    for n None) is at most _DENSE_SPREAD times as long as d has terms."""
+    if n is not None and n <= _DENSE_SPREAD * len(d):
+        return True
+    return max(d) - v < _DENSE_SPREAD * len(d)
+
+
+def _dense_list(d: dict[int, int], v: int, n: int | None) -> list[int]:
+    """Coefficients of X^-v * d below X^n (all of them for n None)."""
+    size = max(d) - v + 1
+    if n is not None:
+        size = min(size, n)
+    out = [0] * size
+    for e, c in d.items():
+        if e - v < size:
+            out[e - v] = c
+    return out
+
+
+def _mul_dense(a: dict[int, int], b: dict[int, int], va: int, vb: int,
+               n: int | None, p: int) -> dict[int, int]:
+    """Coefficients of the product below X^(va+vb+n) by Kronecker
+    substitution; va, vb are the operands' valuations."""
+    ca = _dense_list(a, va, n)
+    cb = ca if b is a else _dense_list(b, vb, n)
+    shift = va + vb
+    return {i + shift: c for i, c in enumerate(_kmul(ca, cb, n, p)) if c}
+
+
+def _kmul(a: list[int], b: list[int], n: int | None, p: int) -> list[int]:
+    """The first n coefficients (all for n None) of the product of two
+    coefficient lists, reduced mod p.
+
+    Kronecker substitution: each list becomes one integer with a slot of
+    ``width`` bytes per coefficient, wide enough that no coefficient of the
+    exact integer product overflows its slot, so one big-int multiply does
+    the whole convolution.
+    """
+    width = -(-(min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8)
+    x = _pack(a, width)
+    y = x if b is a else _pack(b, width)
+    size = len(a) + len(b) - 1
+    raw = (x * y).to_bytes(size * width, "little")
+    if n is not None and n < size:
+        size = n
+    code = _NATIVE.get(width)
+    if code is not None:
+        vals = array(code)
+        vals.frombytes(raw[:size * width])
+    else:
+        vals = (int.from_bytes(raw[i:i + width], "little")
+                for i in range(0, size * width, width))
+    return [c % p for c in vals]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    code = _NATIVE.get(width)
+    if code is not None:
+        data = array(code, coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(data, "little")
 
 
 def binomial_mod(n: int, k: int, p: int) -> int:
@@ -147,15 +240,27 @@ class LaurentSeries:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
+    @classmethod
+    def _new(cls, prime: Prime, coeffs: dict[int, int],
+             precision: int | None) -> LaurentSeries:
+        """Trusted constructor for results already in canonical form: int
+        exponents below ``precision``, residues in 1..p-1.  Takes ownership
+        of ``coeffs``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_prec", precision)
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, prime: Prime) -> LaurentSeries:
-        return cls(prime)
+        return cls._new(prime, {}, None)
 
     @classmethod
     def one(cls, prime: Prime) -> LaurentSeries:
-        return cls(prime, {0: 1})
+        return cls._new(prime, {0: 1}, None)
 
     @classmethod
     def monomial(cls, prime: Prime, exponent: int, coeff: int = 1,
@@ -233,18 +338,23 @@ class LaurentSeries:
 
     def truncate(self, precision: int | None) -> LaurentSeries:
         """Weaken to O(X^precision) (no-op when already weaker)."""
-        if precision is None:
+        if precision is None or (self._prec is not None
+                                 and self._prec <= precision):
             return self
-        return LaurentSeries(self.prime, self._coeffs,
-                             _pmin(self._prec, precision))
+        return LaurentSeries._new(
+            self.prime,
+            {e: c for e, c in self._coeffs.items() if e < precision},
+            precision)
 
     def shifted(self, k: int) -> LaurentSeries:
         """Multiply by X^k (exponent translation)."""
         if k == 0:
             return self
-        return LaurentSeries(self.prime,
-                             {e + k: c for e, c in self._coeffs.items()},
-                             _padd(self._prec, k))
+        if not isinstance(k, int):
+            raise TypeError("exponents must be ints")
+        return LaurentSeries._new(self.prime,
+                                  {e + k: c for e, c in self._coeffs.items()},
+                                  _padd(self._prec, k))
 
     def scaled(self, c: int | FpElement) -> LaurentSeries:
         """Multiply by the scalar c.  Scaling by 0 gives the exact zero."""
@@ -253,9 +363,10 @@ class LaurentSeries:
             return LaurentSeries.zero(self.prime)
         if c == 1:
             return self
-        return LaurentSeries(self.prime,
-                             {e: v * c for e, v in self._coeffs.items()},
-                             self._prec)
+        p = self.prime.p
+        return LaurentSeries._new(
+            self.prime, {e: v * c % p for e, v in self._coeffs.items()},
+            self._prec)
 
     # -- ring operations -----------------------------------------------------
 
@@ -263,10 +374,18 @@ class LaurentSeries:
         """Coefficientwise sum; precision = min of the operands'."""
         self._require_same_prime(other)
         prec = _pmin(self._prec, other._prec)
+        p = self.prime.p
         d = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            d[e] = d.get(e, 0) + c
-        return LaurentSeries(self.prime, d, prec)
+            c = (d.get(e, 0) + c) % p
+            if c:
+                d[e] = c
+            else:
+                d.pop(e, None)
+        if prec is not None and (self._prec != prec or other._prec != prec):
+            # the more precise operand knows terms the sum does not
+            d = {e: c for e, c in d.items() if e < prec}
+        return LaurentSeries._new(self.prime, d, prec)
 
     def __neg__(self) -> LaurentSeries:
         return self.scaled(self.prime.p - 1)
@@ -275,21 +394,26 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other: LaurentSeries) -> LaurentSeries:
-        """Cauchy product; precision = min(prec(f)+v(g), prec(g)+v(f))."""
+        """Cauchy product; precision = min(prec(f)+v(g), prec(g)+v(f)).
+
+        Dense operands (see ``_DENSE_TERMS``) are multiplied by Kronecker
+        substitution, all others by the dict loop; both give the same
+        coefficients.
+        """
         self._require_same_prime(other)
         if self.is_exact_zero or other.is_exact_zero:
             return LaurentSeries.zero(self.prime)
-        prec = _pmin(_padd(self._prec, other._val_lb()),
-                     _padd(other._prec, self._val_lb()))
+        a, b = self._coeffs, other._coeffs
+        va, vb = self._val_lb(), other._val_lb()
+        prec = _pmin(_padd(self._prec, vb), _padd(other._prec, va))
         p = self.prime.p
-        d: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                d[e] = (d.get(e, 0) + c1 * c2) % p
-        return LaurentSeries(self.prime, d, prec)
+        if len(a) >= _DENSE_TERMS and len(b) >= _DENSE_TERMS:
+            n = None if prec is None else prec - va - vb
+            if _spans_dense(a, va, n) and _spans_dense(b, vb, n):
+                return LaurentSeries._new(
+                    self.prime, _mul_dense(a, b, va, vb, n, p), prec)
+        return LaurentSeries._new(self.prime, _mul_sparse(a, b, prec, p),
+                                  prec)
 
     def __pow__(self, exponent: int) -> LaurentSeries:
         if not isinstance(exponent, int):
@@ -315,7 +439,8 @@ class LaurentSeries:
         precision N - 2v.  For exact input the inverse is exact when the
         input is a monomial and otherwise an infinite series, computed to
         the requested absolute ``precision`` (DEFAULT_PRECISION if omitted).
-        An explicit ``precision`` always caps the result.
+        An explicit ``precision`` always caps the result.  The coefficients
+        come from Newton iteration on the Kronecker product.
         """
         if not self._coeffs:
             if self._prec is None:
@@ -328,28 +453,26 @@ class LaurentSeries:
         if len(self._coeffs) == 1 and self._prec is None:
             out = LaurentSeries.monomial(self.prime, -v, lc_inv)
             return out.truncate(precision)
-        # u = 1 + h with v(h) >= 1, known to relative precision R
-        rel = {e - v: c * lc_inv % p for e, c in self._coeffs.items()}
         natural = _padd(self._prec, -v)
         requested = None if precision is None else precision + v
         rp = _pmin(natural, requested)
         if rp is None:
             rp = DEFAULT_PRECISION + v
         rp = max(rp, 1)  # always resolve at least the leading coefficient
-        h = [0] * rp
-        for e, c in rel.items():
-            if 0 < e < rp:
-                h[e] = c
-        b = [0] * rp
-        b[0] = 1
-        for n in range(1, rp):
-            acc = 0
-            for i in range(1, n + 1):
-                if h[i]:
-                    acc += h[i] * b[n - i]
-            b[n] = (-acc) % p
+        # u = X^-v * self / lc = 1 + (valuation >= 1), cut to rp terms
+        u = [0] * rp
+        for e, c in self._coeffs.items():
+            if e - v < rp:
+                u[e - v] = c * lc_inv % p
+        # Newton: if u*b = 1 mod X^m then b*(2 - u*b) inverts u mod X^2m
+        b = [1]
+        while len(b) < rp:
+            m = len(b)
+            k = min(2 * m, rp)
+            err = _kmul(u[:k], b, k, p)[m:]  # u*b = 1 + X^m * err mod X^k
+            b += [-c % p for c in _kmul(b[:k - m], err, k - m, p)]
         coeffs = {i - v: c * lc_inv % p for i, c in enumerate(b) if c}
-        return LaurentSeries(self.prime, coeffs, rp - v)
+        return LaurentSeries._new(self.prime, coeffs, rp - v)
 
     def __truediv__(self, other: LaurentSeries) -> LaurentSeries:
         self._require_same_prime(other)
@@ -358,8 +481,8 @@ class LaurentSeries:
     def derivative(self) -> LaurentSeries:
         """Termwise k*a_k at exponent k-1, with k reduced mod p."""
         p = self.prime.p
-        d = {e - 1: c * (e % p) % p for e, c in self._coeffs.items()}
-        return LaurentSeries(self.prime, d, _padd(self._prec, -1))
+        d = {e - 1: c * e % p for e, c in self._coeffs.items() if e % p}
+        return LaurentSeries._new(self.prime, d, _padd(self._prec, -1))
 
     # -- substitution --------------------------------------------------------
 
@@ -419,9 +542,9 @@ class LaurentSeries:
         extension downstairs.  Precision scales to q*N.
         """
         q = _check_prime_power(self.prime, q)
-        return LaurentSeries(self.prime,
-                             {e * q: c for e, c in self._coeffs.items()},
-                             None if self._prec is None else self._prec * q)
+        return LaurentSeries._new(
+            self.prime, {e * q: c for e, c in self._coeffs.items()},
+            None if self._prec is None else self._prec * q)
 
     def qth_root(self, q: int) -> LaurentSeries:
         """The unique g with g^q = f, for q = p^n.
@@ -529,6 +652,10 @@ def _evaluate_terms(prime: Prime, items: Iterable[tuple[int, Coefficient]],
         lb = z0._val_lb()
         if lb is not None:
             acc = acc.truncate(zprec * lb)
+        elif zprec <= 0:
+            # at the exact zero the unknown tail is a_0 itself when zprec is
+            # 0; from z^1 on it vanishes
+            acc = acc.truncate(0)
     return acc
 
 
@@ -614,4 +741,7 @@ def parse_series(prime: Prime, text: str) -> LaurentSeries:
                 else:
                     raise ParseError(f"bad term {tok!r}")
         coeffs[e] = coeffs.get(e, 0) + c
+    if precision is not None and coeffs and max(coeffs) >= precision:
+        raise ParseError(
+            f"term X^{max(coeffs)} at or past the O(X^{precision}) term")
     return LaurentSeries(prime, coeffs, precision)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import LaurentSeries
+from .series import LaurentSeries, _pmin
 
 #: Hard default for the exponent blow-up of reindexing (2^k grows fast).
 REINDEX_CAP = 1 << 20
 
 
 class ExponentSet:
-    """A decidable predicate on exponents."""
+    """A decidable predicate on exponents, authoritative below ``bound``
+    (everywhere when ``bound`` is None)."""
+
+    bound: int | None = None
 
     def contains(self, exponent: int) -> bool:
         raise NotImplementedError
@@ -104,15 +107,21 @@ def member(f: LaurentSeries, s: ExponentSet) -> MembershipVerdict:
     """Test whether every known nonzero coefficient sits inside the set.
 
     Scans ascending, so the recorded witness is the lowest offender.
-    Exact membership is only claimed for exact series.
+    Exact membership is only claimed for exact series.  A known term at or
+    past the set's ``bound`` is never a witness: the verdict then holds
+    only at precision min(f.precision, bound).
     """
+    precision = f.precision
     for e in f.support:
+        if s.bound is not None and e >= s.bound:
+            precision = _pmin(precision, s.bound)
+            break
         if not s.contains(e):
             return MembershipVerdict("non_member", witness_exponent=e,
                                      witness_coefficient=f.coefficient(e))
-    if f.is_exact:
+    if precision is None:
         return MembershipVerdict("member_exact")
-    return MembershipVerdict("member_at_precision", precision=f.precision)
+    return MembershipVerdict("member_at_precision", precision=precision)
 
 
 def reindex_powers_of_two(g: LaurentSeries,

@@ -139,11 +139,14 @@ def closure_enum(prime: Prime, ell: int, precision: int) -> ClosureReport:
     while ell * prime.p ** level < precision:
         level += 1
     u = LaurentSeries.monomial(prime, ell) + LaurentSeries.one(prime)
-    residues = tuple(
-        padic_pow(u, t, precision=precision).truncate(precision)
-        for t in range(prime.p ** level))
+    # residue t is u^t mod X^precision, built from residue t-1
+    acc = LaurentSeries.one(prime).truncate(precision)
+    residues = [acc]
+    for _ in range(1, prime.p ** level):
+        acc = (acc * u).truncate(precision)
+        residues.append(acc)
     supported = all(member(r, MultiplesOf(ell)).is_member for r in residues)
     distinct = len(set(residues)) == len(residues)
     return ClosureReport(ell=ell, precision=precision, level=level,
-                         residues=residues, all_supported=supported,
+                         residues=tuple(residues), all_supported=supported,
                          all_distinct=distinct)

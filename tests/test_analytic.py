@@ -42,6 +42,17 @@ def test_series_coefficient_evaluation():
     assert m3.evaluate(S(P3, "X^1")) == S(P3, "2*X^4")
 
 
+def test_unknown_constant_at_exact_zero():
+    zero = LaurentSeries.zero(P2)
+    assert LaurentSeries.unknown(P2, 0)(zero) == LaurentSeries.unknown(P2, 0)
+    m = AnalyticMap(P3, {}, zprec=0)
+    assert m.evaluate(LaurentSeries.zero(P3)) == LaurentSeries.unknown(P3, 0)
+    # from z^1 on the unknown tail vanishes at the exact zero
+    m = AnalyticMap(P3, {0: S(P3, "2 + X^1")}, zprec=1)
+    assert m.evaluate(LaurentSeries.zero(P3)) == S(P3, "2 + X^1")
+    assert S(P2, "1 + X^1 + O(X^3)")(zero) == S(P2, "1")
+
+
 def test_derivative_with_series_coefficients():
     m = AnalyticMap(P3, {3: S(P3, "X^1"), 4: S(P3, "2")})
     d = m.derivative()

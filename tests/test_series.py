@@ -406,6 +406,11 @@ def test_parse_errors():
         with pytest.raises(ParseError):
             parse_series(P2, bad)
 
+    for past in ("X^1 + O(X^1)", "X^5 + O(X^3)", "2*X^4 + O(X^4)",
+                 "0*X^4 + O(X^4)"):
+        with pytest.raises(ParseError):
+            parse_series(P3, past)
+
 
 def test_print_canonical():
     assert str(S(P3, "2*X^3 + 1 + X^5")) == "1 + 2*X^3 + X^5"

@@ -51,6 +51,20 @@ def test_member_precision_and_negatives():
     assert v.witness_exponent == 3
 
 
+def test_member_explicit_set_past_bound_is_no_witness():
+    s = ExplicitSet([1, 2, 4], bound=10)
+    v = member(S(P2, "X^1 + X^12"), s)
+    assert v.status == "member_at_precision" and v.precision == 10
+    v = member(S(P2, "X^1 + X^12 + O(X^14)"), s)
+    assert v.status == "member_at_precision" and v.precision == 10
+    v = member(S(P2, "X^1 + O(X^8)"), s)
+    assert v.status == "member_at_precision" and v.precision == 8
+    # below the bound the set still decides
+    v = member(S(P2, "X^3 + X^12"), s)
+    assert v.status == "non_member" and v.witness_exponent == 3
+    assert member(S(P2, "X^1 + X^4"), s).status == "member_exact"
+
+
 def test_reindex_examples():
     assert reindex_powers_of_two(S(P2, "1 + X^1 + X^2")) == \
         S(P2, "X^1 + X^2 + X^4")

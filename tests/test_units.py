@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import P2, P3, P5, assert_agree, random_unit
+from conftest import P2, P3, P5, P7, assert_agree, random_unit
 from xadic import (LaurentSeries, PadicInt, PrecisionError, closure_enum,
                    decompose, padic_pow, parse_series)
 
@@ -125,6 +125,18 @@ def test_closure_enum_matches_naive_powers():
         naive.append(acc.truncate(7))
         acc = (acc * u).truncate(7)
     assert list(closure_enum(P3, 2, 7).residues) == naive
+
+
+def test_closure_enum_matches_padic_pow():
+    for prime in (P2, P3, P7):
+        for ell in (e for e in (2, 3, 5) if e % prime.p):
+            for precision in (1, 4, 13):
+                u = LaurentSeries.monomial(prime, ell) + LaurentSeries.one(prime)
+                report = closure_enum(prime, ell, precision)
+                expected = tuple(
+                    padic_pow(u, t, precision=precision).truncate(precision)
+                    for t in range(prime.p ** report.level))
+                assert report.residues == expected
 
 
 def test_closure_group_closed_under_product():
